@@ -11,7 +11,7 @@ COUNT     ?= 6
 
 FUZZTIME  ?= 10s
 
-.PHONY: all build test test-race test-chaos test-invariants vet lint docs-check examples bench bench-smoke bench-base bench-compare golden golden-update fuzz clean
+.PHONY: all build test test-race test-chaos test-invariants vet lint perfbench-check examples bench bench-smoke bench-base bench-compare golden golden-update fuzz clean
 
 all: vet lint test
 
@@ -74,12 +74,12 @@ lint:
 test-invariants:
 	$(GO) test -tags invariants -race ./internal/relalg/ ./internal/planner/ ./coin/ ./internal/golden/
 
-# Documentation gate: vet plus a package-comment check over every package
-# (see internal/tools/docscheck). Kept as an alias; `make lint` is the CI
-# gate and supersedes it.
-docs-check:
-	$(GO) vet $(PKGS)
-	$(GO) run ./internal/tools/docscheck
+# Vet and test the benchmark harness, a separate module (perfbench/) that
+# the root `go test ./...` does not see: an API change that breaks the
+# benchmark fails here instead of in the benchmark run.
+perfbench-check:
+	$(GO) vet -C perfbench ./...
+	$(GO) test -C perfbench ./...
 
 # Run every example program end to end (CI smoke tests).
 examples:

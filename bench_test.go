@@ -27,6 +27,26 @@ import (
 	"repro/internal/wrapper/wrappertest"
 )
 
+// runMediation drains a mediated query under a nil (ungoverned) session.
+func runMediation(ex *planner.Executor, med *core.Mediation) (*relalg.Relation, error) {
+	it, err := ex.MediationStream(nil, med)
+	if err != nil {
+		return nil, err
+	}
+	return relalg.Collect(context.Background(), it, "")
+}
+
+// runStatement plans and drains stmt under a fresh ungoverned session.
+func runStatement(ctx context.Context, ex *planner.Executor, stmt sqlparse.Statement) (*relalg.Relation, error) {
+	sess := ex.NewSession(ctx, planner.Limits{})
+	defer sess.Close()
+	it, err := ex.StatementStream(sess, stmt)
+	if err != nil {
+		return nil, err
+	}
+	return relalg.Collect(sess.Context(), it, "")
+}
+
 // --- E1: the Section 3 worked example -----------------------------------
 
 // BenchmarkE1_PaperExample measures the full pipeline of the paper's
@@ -37,9 +57,10 @@ func BenchmarkE1_PaperExample(b *testing.B) {
 	if err := sys.Mediator().Warm("c2"); err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := sys.Query(coin.PaperQ1, "c2")
+		rows, err := sys.QueryCtx(ctx, coin.PaperQ1, "c2", coin.QueryOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,9 +95,10 @@ func BenchmarkE1c_ExecutionOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Execute(med); err != nil {
+		if _, _, err := sys.ExecuteWarnCtx(ctx, med, coin.QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,9 +117,10 @@ func BenchmarkFaultFreeOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Execute(med); err != nil {
+		if _, _, err := sys.ExecuteWarnCtx(ctx, med, coin.QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,9 +139,10 @@ func BenchmarkE3_EndToEndHTTP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := conn.Query(coin.PaperQ1, "c2")
+		res, err := conn.QueryCtx(ctx, coin.PaperQ1, "c2", client.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -281,7 +305,7 @@ func BenchmarkE9_MediatedExecutionScale(b *testing.B) {
 		cat, w := scaledCatalog(n, 42)
 		b.Run(fmt.Sprintf("companies=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := planner.NewExecutor(cat).ExecuteMediation(med)
+				res, err := runMediation(planner.NewExecutor(cat), med)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -312,7 +336,7 @@ func BenchmarkParallelJoinScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ex := planner.NewExecutor(cat)
 		ex.DefaultParallelism = runtime.GOMAXPROCS(0)
-		res, err := ex.ExecuteMediation(med)
+		res, err := runMediation(ex, med)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -336,7 +360,7 @@ func BenchmarkE9b_JoinAlgorithms(b *testing.B) {
 				ex := planner.NewExecutor(cat)
 				ex.ForceNestedLoop = alg == "nested-loop"
 				ex.ForceMergeJoin = alg == "merge"
-				if _, err := ex.ExecuteMediation(med); err != nil {
+				if _, err := runMediation(ex, med); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -359,7 +383,7 @@ func BenchmarkE9c_PushdownAblation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ex := planner.NewExecutor(cat)
 				ex.DisablePushdown = disable
-				if _, err := ex.Execute(sqlparse.MustParse(q)); err != nil {
+				if _, err := runStatement(context.Background(), ex, sqlparse.MustParse(q)); err != nil {
 					b.Fatal(err)
 				}
 				transferred = ex.Stats().TuplesTransferred
@@ -393,7 +417,7 @@ func BenchmarkE9d_BindJoinVsCrawl(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				site.ResetHits()
-				res, err := planner.NewExecutor(cat).ExecuteMediation(med)
+				res, err := runMediation(planner.NewExecutor(cat), med)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -424,7 +448,7 @@ func BenchmarkE9e_ParallelBranches(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ex := planner.NewExecutor(cat)
 				ex.Parallel = parallel
-				if _, err := ex.ExecuteMediation(med); err != nil {
+				if _, err := runMediation(ex, med); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -475,7 +499,7 @@ func BenchmarkBindJoinBatched(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ex := planner.NewExecutor(cat)
 				ex.DisableBatching = mode == "unbatched"
-				res, err := ex.ExecuteCtx(context.Background(), q)
+				res, err := runStatement(context.Background(), ex, q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -536,10 +560,11 @@ func BenchmarkE7_QueryKinds(b *testing.B) {
 		"aggregate":  "SELECT SUM(r1.revenue) AS total FROM r1",
 		"orderby":    "SELECT r1.cname, r1.revenue FROM r1 ORDER BY r1.revenue DESC",
 	}
+	ctx := context.Background()
 	for name, q := range queries {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sys.Query(q, "c2"); err != nil {
+				if _, err := sys.QueryCtx(ctx, q, "c2", coin.QueryOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -612,7 +637,7 @@ func BenchmarkJoinOrderAdaptive(b *testing.B) {
 			} else {
 				// One warm-up execution teaches the stats store the real
 				// cardinalities; the measured loop runs replanned queries.
-				if _, err := ex.ExecuteCtx(context.Background(), q); err != nil {
+				if _, err := runStatement(context.Background(), ex, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -620,7 +645,7 @@ func BenchmarkJoinOrderAdaptive(b *testing.B) {
 			var rows int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := ex.ExecuteCtx(context.Background(), q)
+				res, err := runStatement(context.Background(), ex, q)
 				if err != nil {
 					b.Fatal(err)
 				}

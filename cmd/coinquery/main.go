@@ -99,7 +99,7 @@ func runRemote(serverURL, receiverCtx, sql string, cfg queryConfig) error {
 		if cfg.analyze {
 			plan, err = conn.ExplainAnalyze(context.Background(), sql, receiverCtx, opts)
 		} else {
-			plan, err = conn.Explain(sql, receiverCtx)
+			plan, err = conn.Explain(context.Background(), sql, receiverCtx)
 		}
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package coin
 
 import (
+	"context"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -65,9 +66,9 @@ func TestHeterogeneousBackendRegistration(t *testing.T) {
 		}
 	}
 
-	res, err := sys.QueryNaive(
-		"SELECT sectors.cname, accounts.expenses, quotes.price FROM sectors, accounts, quotes " +
-			"WHERE accounts.cname = sectors.cname AND quotes.cname = sectors.cname")
+	res, err := sys.QueryNaiveCtx(context.Background(),
+		"SELECT sectors.cname, accounts.expenses, quotes.price FROM sectors, accounts, quotes "+
+			"WHERE accounts.cname = sectors.cname AND quotes.cname = sectors.cname", QueryOptions{})
 	if err != nil {
 		t.Fatalf("federated join across file/SQL/REST backends: %v", err)
 	}
@@ -76,7 +77,7 @@ func TestHeterogeneousBackendRegistration(t *testing.T) {
 	}
 
 	// The paper's own mediated query still works next to the new sources.
-	rows, err := sys.Query(PaperQ1, "c2")
+	rows, err := sys.QueryCtx(context.Background(), PaperQ1, "c2", QueryOptions{})
 	if err != nil {
 		t.Fatalf("PaperQ1 after registering extra backends: %v", err)
 	}

@@ -11,8 +11,8 @@
 //	sys := coin.Figure2System()
 //	med, _ := sys.Mediate(coin.PaperQ1, "c2")
 //	fmt.Println(med.SQL())                       // the 3-branch union
-//	rows, _ := sys.Query(coin.PaperQ1, "c2")     // <NTT, 9600000>
-//	fmt.Println(rows)
+//	rows, _ := sys.QueryCtx(ctx, coin.PaperQ1, "c2", coin.QueryOptions{})
+//	fmt.Println(rows)                            // <NTT, 9600000>
 package coin
 
 import (
@@ -184,21 +184,6 @@ func (s *System) Mediate(sql, receiver string) (*Mediation, error) {
 	return s.mediator.MediateSQL(sql, receiver)
 }
 
-// Query mediates and executes, returning the answer in the receiver's
-// context. It is the ungoverned form of QueryCtx: background context, no
-// limits.
-func (s *System) Query(sql, receiver string) (*Relation, error) {
-	//lint:allow ctxflow Query is the documented ungoverned convenience; governed callers use QueryCtx
-	return s.QueryCtx(context.Background(), sql, receiver, QueryOptions{})
-}
-
-// QueryNaive executes SQL without mediation — the paper's "incorrect
-// answer" baseline. The ungoverned form of QueryNaiveCtx.
-func (s *System) QueryNaive(sql string) (*Relation, error) {
-	//lint:allow ctxflow QueryNaive is the documented ungoverned convenience; governed callers use QueryNaiveCtx
-	return s.QueryNaiveCtx(context.Background(), sql, QueryOptions{})
-}
-
 // Explain mediates the query and renders the multi-database engine's
 // execution plan for every branch: access order, pushed vs local filters,
 // bind joins feeding Web-source required bindings, join keys, and cost
@@ -211,7 +196,8 @@ func (s *System) Explain(sql, receiver string) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mediated into %d branch(es)\n", len(med.Branches))
 	for i, br := range med.Branches {
-		plan, err := s.executor.Plan(br)
+		//lint:allow ctxflow Explain keeps its context-free signature (server.Service); ExplainAnalyzeCtx is the governed form
+		plan, err := s.executor.PlanCtx(context.Background(), br)
 		if err != nil {
 			return "", fmt.Errorf("coin: planning branch %d: %w", i+1, err)
 		}
@@ -228,20 +214,14 @@ func (s *System) Explain(sql, receiver string) (string, error) {
 	return b.String(), nil
 }
 
-// ExplainAnalyze mediates the query, then actually executes every branch
-// with measurement wired through the pipeline, rendering each plan with
-// estimated-vs-actual rows, source queries and cost per step (the
-// est_rows / act_rows columns). The run feeds the adaptive statistics
-// like any execution, so an EXPLAIN ANALYZE followed by EXPLAIN shows
-// the optimizer learning. The ungoverned form of ExplainAnalyzeCtx.
-func (s *System) ExplainAnalyze(sql, receiver string) (string, error) {
-	//lint:allow ctxflow ExplainAnalyze is the documented ungoverned convenience; governed callers use ExplainAnalyzeCtx
-	return s.ExplainAnalyzeCtx(context.Background(), sql, receiver, QueryOptions{})
-}
-
-// ExplainAnalyzeCtx is ExplainAnalyze under a context and per-query
-// limits: the analyzed execution runs inside a governed session, so it
-// can be cancelled or bounded like any query.
+// ExplainAnalyzeCtx mediates the query, then actually executes every
+// branch with measurement wired through the pipeline, rendering each plan
+// with estimated-vs-actual rows, source queries and cost per step (the
+// est_rows / act_rows columns). The analyzed execution runs inside a
+// session governed by ctx and opts, so it can be cancelled or bounded
+// like any query. The run feeds the adaptive statistics like any
+// execution, so an EXPLAIN ANALYZE followed by EXPLAIN shows the
+// optimizer learning.
 func (s *System) ExplainAnalyzeCtx(ctx context.Context, sql, receiver string, opts QueryOptions) (string, error) {
 	med, err := s.Mediate(sql, receiver)
 	if err != nil {
@@ -269,13 +249,6 @@ func (s *System) ExplainAnalyzeCtx(ctx context.Context, sql, receiver string, op
 		b.WriteString("post: aggregation/ordering over the union\n")
 	}
 	return b.String(), nil
-}
-
-// Execute runs an already-mediated query. The ungoverned form of
-// ExecuteCtx.
-func (s *System) Execute(med *Mediation) (*Relation, error) {
-	//lint:allow ctxflow Execute is the documented ungoverned convenience; governed callers use ExecuteCtx
-	return s.ExecuteCtx(context.Background(), med, QueryOptions{})
 }
 
 // Executor exposes the engine (for stats and ablation toggles).

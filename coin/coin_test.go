@@ -1,6 +1,7 @@
 package coin_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,14 +10,14 @@ import (
 
 func TestFigure2SystemQuery(t *testing.T) {
 	sys := coin.Figure2System()
-	rows, err := sys.Query(coin.PaperQ1, "c2")
+	rows, err := sys.QueryCtx(context.Background(), coin.PaperQ1, "c2", coin.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rows.Len() != 1 || rows.Tuples[0][0].S != "NTT" || rows.Tuples[0][1].N != 9600000 {
 		t.Errorf("answer = %s", rows)
 	}
-	naive, err := sys.QueryNaive(coin.PaperQ1)
+	naive, err := sys.QueryNaiveCtx(context.Background(), coin.PaperQ1, coin.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestFigure2SystemMediate(t *testing.T) {
 	if !strings.Contains(med.SQL(), "UNION") {
 		t.Errorf("mediated SQL:\n%s", med.SQL())
 	}
-	res, err := sys.Execute(med)
+	res, _, err := sys.ExecuteWarnCtx(context.Background(), med, coin.QueryOptions{})
 	if err != nil || res.Len() != 1 {
 		t.Errorf("execute mediation: %v %v", res, err)
 	}
@@ -112,7 +113,7 @@ func TestExtensibilityAddSource(t *testing.T) {
 
 	// A new cross-context query mediates and executes immediately:
 	// profit is scaled by 1000 and converted EUR→USD (rate 1.10).
-	rows, err := sys.Query("SELECT r4.cname, r4.profit FROM r4", "c2")
+	rows, err := sys.QueryCtx(context.Background(), "SELECT r4.cname, r4.profit FROM r4", "c2", coin.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestAccessibilityQueryKinds(t *testing.T) {
 		},
 	}
 	for sql, check := range queries {
-		rows, err := sys.Query(sql, "c2")
+		rows, err := sys.QueryCtx(context.Background(), sql, "c2", coin.QueryOptions{})
 		if err != nil {
 			t.Errorf("%s: %v", sql, err)
 			continue
@@ -187,7 +188,7 @@ func TestBuiltinSpecs(t *testing.T) {
 // optimizer (a following EXPLAIN prices from measured cardinalities).
 func TestExplainAnalyze(t *testing.T) {
 	sys := coin.Figure2System()
-	out, err := sys.ExplainAnalyze(coin.PaperQ1, "c2")
+	out, err := sys.ExplainAnalyzeCtx(context.Background(), coin.PaperQ1, "c2", coin.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +198,14 @@ func TestExplainAnalyze(t *testing.T) {
 		}
 	}
 	// The ordinary answer still computes after an analyzed run.
-	rows, err := sys.Query(coin.PaperQ1, "c2")
+	rows, err := sys.QueryCtx(context.Background(), coin.PaperQ1, "c2", coin.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rows.Len() != 1 || rows.Tuples[0][0].S != "NTT" {
 		t.Errorf("post-analyze answer = %s", rows)
 	}
-	if _, err := sys.ExplainAnalyze("SELECT nope FROM nosuch", "c2"); err == nil {
+	if _, err := sys.ExplainAnalyzeCtx(context.Background(), "SELECT nope FROM nosuch", "c2", coin.QueryOptions{}); err == nil {
 		t.Error("bad query analyzed successfully")
 	}
 }

@@ -16,7 +16,7 @@ var builtinSpecSources = map[string]string{
 	ProfileSpec:        wrapper.ProfileSpec,
 }
 
-// parseSQL is the front-end parser used by QueryNaive.
+// parseSQL is the front-end parser of the naive (un-mediated) query paths.
 func parseSQL(sql string) (sqlparse.Statement, error) { return sqlparse.Parse(sql) }
 
 // fixtureCurrencySite builds the simulated currency-exchange site with

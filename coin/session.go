@@ -1,11 +1,11 @@
 package coin
 
-// Context-aware query services. Every query runs inside a planner.Session
-// — a context (cancellation + deadline) plus resource governors — so a
-// receiver that disconnects, times out or exceeds its budgets stops
-// consuming the sources promptly. The context-free methods of coin.go
-// (Query, QueryNaive, Execute) are thin wrappers over these with a
-// background context and no limits.
+// Query services. Every query runs inside a planner.Session — a context
+// (cancellation + deadline) plus resource governors — so a receiver that
+// disconnects, times out or exceeds its budgets stops consuming the
+// sources promptly. Each operation has one entry point, and it takes the
+// context: QueryCtx, ExecuteWarnCtx, QueryNaiveCtx, the streaming
+// QueryStreamCtx/QueryNaiveStreamCtx, and ExplainAnalyzeCtx.
 
 import (
 	"context"
@@ -35,13 +35,6 @@ func (s *System) QueryCtx(ctx context.Context, sql, receiver string, opts QueryO
 	if err != nil {
 		return nil, err
 	}
-	return s.ExecuteCtx(ctx, med, opts)
-}
-
-// ExecuteCtx runs an already-mediated query under ctx and opts. Warnings
-// a partial-results run accumulates are dropped here; use ExecuteWarnCtx
-// when the receiver needs them.
-func (s *System) ExecuteCtx(ctx context.Context, med *Mediation, opts QueryOptions) (*Relation, error) {
 	rel, _, err := s.ExecuteWarnCtx(ctx, med, opts)
 	return rel, err
 }

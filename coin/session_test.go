@@ -56,7 +56,7 @@ func TestQueryCtxDeadlineExceeded(t *testing.T) {
 
 func TestMaxRowsTruncatesMediatedQuery(t *testing.T) {
 	sys := coin.Figure2System()
-	full, err := sys.Query("SELECT r2.cname FROM r2", "c2")
+	full, err := sys.QueryCtx(context.Background(), "SELECT r2.cname FROM r2", "c2", coin.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

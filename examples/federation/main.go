@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	sys := coin.Figure2System()
 
 	before, err := sys.Mediate(coin.PaperQ1, "c2")
@@ -71,7 +73,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("-- mediated (%d branch(es)):\n%s\n\n", len(med.Branches), med.SQL())
-	rows, err := sys.Execute(med)
+	rows, _, err := sys.ExecuteWarnCtx(ctx, med, coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

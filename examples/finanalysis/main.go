@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -97,6 +98,7 @@ func buildSystem() *coin.System {
 }
 
 func main() {
+	ctx := context.Background()
 	sys := buildSystem()
 
 	fmt.Println("== Profit & loss per Japanese company, in the analyst's USD context:")
@@ -106,14 +108,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("-- mediated (%d branch(es)); conversion: x1000, JPY->USD rate from the Web\n", len(med.Branches))
-	rows, err := sys.Execute(med)
+	rows, _, err := sys.ExecuteWarnCtx(ctx, med, coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(rows.String())
 
 	fmt.Println("\n== The same numbers naively (contexts ignored) would be wildly wrong:")
-	naive, err := sys.QueryNaive("SELECT j.cname, j.revenue - j.expenses AS profit FROM jp_fin j")
+	naive, err := sys.QueryNaiveCtx(ctx, "SELECT j.cname, j.revenue - j.expenses AS profit FROM jp_fin j", coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,7 +124,7 @@ func main() {
 	fmt.Println("\n== Cross-source, cross-context: total revenue of the Telecom sector in USD:")
 	q3 := `SELECT SUM(j.revenue) AS telecom_jp_usd FROM jp_fin j, profiles p
 	       WHERE j.cname = p.cname AND p.sector = 'Telecom'`
-	rows, err = sys.Query(q3, "usa")
+	rows, err = sys.QueryCtx(ctx, q3, "usa", coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func main() {
 	q4 := `SELECT u.cname, u.revenue - u.expenses AS profit FROM us_fin u WHERE u.revenue > u.expenses
 	       UNION
 	       SELECT j.cname, j.revenue - j.expenses AS profit FROM jp_fin j WHERE j.revenue > j.expenses`
-	rows, err = sys.Query(q4, "usa")
+	rows, err = sys.QueryCtx(ctx, q4, "usa", coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,13 +18,14 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	sys := coin.Figure2System()
 
 	fmt.Println("== The query, as the receiver in context c2 writes it (no conflicts assumed):")
 	fmt.Println(coin.PaperQ1)
 	fmt.Println()
 
-	naive, err := sys.QueryNaive(coin.PaperQ1)
+	naive, err := sys.QueryNaiveCtx(ctx, coin.PaperQ1, coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func main() {
 	fmt.Printf("== Context mediation detected the conflicts and rewrote Q1 into %d sub-queries:\n\n%s;\n\n", len(med.Branches), med.SQL())
 	fmt.Printf("== Why (from the abductive derivation):\n%s\n", med.ExplainText())
 
-	rows, err := sys.Execute(med)
+	rows, _, err := sys.ExecuteWarnCtx(ctx, med, coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

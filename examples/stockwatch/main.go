@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	model := coin.NewModel()
 	model.MustAddType(&coin.SemType{Name: "tickerSymbol"})
 	model.MustAddType(&coin.SemType{Name: "securityPrice", Modifiers: []string{"currency"}})
@@ -82,7 +84,7 @@ func main() {
 	must(sys.AddRelationalSource(pf, nil))
 
 	fmt.Println("== Quotes as the sites report them (mixed currencies):")
-	naive, err := sys.QueryNaive("SELECT quotes.ticker, quotes.exchange, quotes.price FROM quotes")
+	naive, err := sys.QueryNaiveCtx(ctx, "SELECT quotes.ticker, quotes.exchange, quotes.price FROM quotes", coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("-- %d branch(es): USD passthrough + per-currency conversion via the rate site\n", len(med.Branches))
-	rows, err := sys.Execute(med)
+	rows, _, err := sys.ExecuteWarnCtx(ctx, med, coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,15 +105,15 @@ func main() {
 	fmt.Println("\n== Portfolio value in USD (join of local holdings with Web quotes):")
 	q := `SELECT h.ticker, quotes.price * h.shares AS value_usd
 	      FROM quotes, holdings h WHERE h.ticker = quotes.ticker ORDER BY value_usd DESC`
-	rows, err = sys.Query(q, "usd")
+	rows, err = sys.QueryCtx(ctx, q, "usd", coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(rows.String())
 
 	fmt.Println("\n== Total:")
-	rows, err = sys.Query(`SELECT SUM(quotes.price * h.shares) AS portfolio_usd
-	                        FROM quotes, holdings h WHERE h.ticker = quotes.ticker`, "usd")
+	rows, err = sys.QueryCtx(ctx, `SELECT SUM(quotes.price * h.shares) AS portfolio_usd
+	                        FROM quotes, holdings h WHERE h.ticker = quotes.ticker`, "usd", coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

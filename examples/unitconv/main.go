@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	model := coin.NewModel()
 	model.MustAddType(&coin.SemType{Name: "partNumber"})
 	model.MustAddType(&coin.SemType{Name: "length", Modifiers: []string{"unit"}})
@@ -72,14 +74,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("-- mediated (the imperial arm gained \"* 25.4\"):\n%s\n\n", med.SQL())
-	rows, err := sys.Execute(med)
+	rows, _, err := sys.ExecuteWarnCtx(ctx, med, coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(rows.String())
 
 	fmt.Println("\n== The same question in the imperial engineer's context (inches):")
-	rows, err = sys.Query(`SELECT e.part, e.len FROM eu_parts e UNION SELECT u.part, u.len FROM us_parts u`, "imperial")
+	rows, err = sys.QueryCtx(ctx, `SELECT e.part, e.len FROM eu_parts e UNION SELECT u.part, u.len FROM us_parts u`, "imperial", coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func testConn(t *testing.T) *client.Conn {
 
 func TestCursorScan(t *testing.T) {
 	conn := testConn(t)
-	res, err := conn.Query("SELECT r1.cname, r1.revenue FROM r1 ORDER BY r1.revenue DESC", "c2")
+	res, err := conn.QueryCtx(context.Background(), "SELECT r1.cname, r1.revenue FROM r1 ORDER BY r1.revenue DESC", "c2", client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestCursorScan(t *testing.T) {
 
 func TestCursorScanErrors(t *testing.T) {
 	conn := testConn(t)
-	res, err := conn.Query("SELECT r2.cname FROM r2", "c2")
+	res, err := conn.QueryCtx(context.Background(), "SELECT r2.cname FROM r2", "c2", client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestCursorScanErrors(t *testing.T) {
 
 func TestExplainOverHTTP(t *testing.T) {
 	conn := testConn(t)
-	plan, err := conn.Explain(coin.PaperQ1, "c2")
+	plan, err := conn.Explain(context.Background(), coin.PaperQ1, "c2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestExplainOverHTTP(t *testing.T) {
 			t.Errorf("plan missing %q:\n%s", want, plan)
 		}
 	}
-	if _, err := conn.Explain("SELECT nope FROM nosuch", "c2"); err == nil {
+	if _, err := conn.Explain(context.Background(), "SELECT nope FROM nosuch", "c2"); err == nil {
 		t.Error("bad explain succeeded")
 	}
 }

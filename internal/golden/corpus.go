@@ -137,16 +137,13 @@ type RunOptions struct {
 	Mutate func(*Fixture)
 }
 
-// Run executes one corpus entry and captures its Result.
-func Run(q Query) (*Result, error) { return RunWith(q, RunOptions{}) }
-
-// RunWith is Run with self-test hooks.
-func RunWith(q Query, opts RunOptions) (*Result, error) {
+// Run executes one corpus entry under ctx and captures its Result.
+func Run(ctx context.Context, q Query, opts RunOptions) (*Result, error) {
 	switch q.Mode {
 	case "engine":
-		return runEngine(q, opts)
+		return runEngine(ctx, q, opts)
 	case "mediate", "mediate-partial":
-		return runMediate(q)
+		return runMediate(ctx, q)
 	default:
 		return nil, fmt.Errorf("golden: %s: unknown mode %q", q.Name, q.Mode)
 	}
@@ -155,7 +152,7 @@ func RunWith(q Query, opts RunOptions) (*Result, error) {
 // runEngine plans and executes against a fresh four-backend fixture. The
 // plan is rendered before execution, so the baseline pins the cold plan
 // (no adaptive feedback in it).
-func runEngine(q Query, opts RunOptions) (*Result, error) {
+func runEngine(ctx context.Context, q Query, opts RunOptions) (*Result, error) {
 	fx, err := NewFixture()
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: fixture: %w", q.Name, err)
@@ -176,7 +173,7 @@ func runEngine(q Query, opts RunOptions) (*Result, error) {
 	sels := sqlparse.Selects(stmt)
 	var plan strings.Builder
 	for i, sel := range sels {
-		p, err := fx.Ex.Plan(sel)
+		p, err := fx.Ex.PlanCtx(ctx, sel)
 		if err != nil {
 			return nil, fmt.Errorf("golden: %s: planning branch %d: %w", q.Name, i+1, err)
 		}
@@ -186,7 +183,13 @@ func runEngine(q Query, opts RunOptions) (*Result, error) {
 		}
 		plan.WriteString(p.Explain())
 	}
-	rel, err := fx.Ex.Execute(stmt)
+	sess := fx.Ex.NewSession(ctx, coin.QueryOptions{})
+	defer sess.Close()
+	it, err := fx.Ex.StatementStream(sess, stmt)
+	var rel *relalg.Relation
+	if err == nil {
+		rel, err = relalg.Collect(sess.Context(), it, "")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: executing: %w", q.Name, err)
 	}
@@ -199,7 +202,7 @@ func runEngine(q Query, opts RunOptions) (*Result, error) {
 // runMediate runs the paper's Figure 2 system: plans from System.Explain,
 // rows from the mediated execution. mediate-partial takes the currency
 // site down and pins the degraded answer plus its warnings.
-func runMediate(q Query) (*Result, error) {
+func runMediate(ctx context.Context, q Query) (*Result, error) {
 	partial := q.Mode == "mediate-partial"
 	sys := coin.Figure2System()
 	if partial {
@@ -214,8 +217,7 @@ func runMediate(q Query) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: mediate: %w", q.Name, err)
 	}
-	//lint:allow ctxflow golden harness runs outside any session; corpus queries are short and local
-	rel, warns, err := sys.ExecuteWarnCtx(context.Background(), med,
+	rel, warns, err := sys.ExecuteWarnCtx(ctx, med,
 		coin.QueryOptions{PartialResults: partial, MaxParallelism: q.Parallelism})
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: executing: %w", q.Name, err)

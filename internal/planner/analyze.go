@@ -2,7 +2,7 @@ package planner
 
 // EXPLAIN ANALYZE support: plan a SELECT block, execute it with actual
 // counters wired through the pipeline, and hand back the analyzed plan
-// for rendering. coin.System.ExplainAnalyze composes this per mediation
+// for rendering. coin.System.ExplainAnalyzeCtx composes this per mediation
 // branch.
 
 import (

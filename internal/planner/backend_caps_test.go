@@ -7,6 +7,7 @@ package planner
 // chunk — including a stream with no rows at all.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -82,14 +83,14 @@ func TestInListWithUnitBatchFallsBackToProbes(t *testing.T) {
 	})
 	ex := NewExecutor(cat)
 	sel := sqlparse.MustParse(capsBindQ).(*sqlparse.Select)
-	plan, err := ex.Plan(sel)
+	plan, err := ex.PlanCtx(context.Background(), sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(plan.Explain(), "batch[") {
 		t.Fatalf("unit batch width must not plan batching:\n%s", plan.Explain())
 	}
-	res, err := ex.Run(plan)
+	res, err := collectPlan(ex, nil, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestRequiredBindingSatisfiedOnlyByBindJoin(t *testing.T) {
 	cat, counter := bindCatalog(t, nil)
 	ex := NewExecutor(cat)
 	sel := sqlparse.MustParse(capsBindQ).(*sqlparse.Select)
-	plan, err := ex.Plan(sel)
+	plan, err := ex.PlanCtx(context.Background(), sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestRequiredBindingSatisfiedOnlyByBindJoin(t *testing.T) {
 	if plan.Steps[0].Relation != "f" {
 		t.Fatalf("feeder must be placed first:\n%s", plan.Explain())
 	}
-	res, err := ex.Run(plan)
+	res, err := collectPlan(ex, nil, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func chunkedCatalog(size int) (*Catalog, *wrappertest.Chunked) {
 func TestStreamWithEmptyFinalChunk(t *testing.T) {
 	cat, ch := chunkedCatalog(2)
 	ex := NewExecutor(cat)
-	res, err := ex.Execute(sqlparse.MustParse("SELECT r.k, r.v FROM r"))
+	res, err := runStmt(context.Background(), ex, sqlparse.MustParse("SELECT r.k, r.v FROM r"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestStreamWithEmptyFinalChunk(t *testing.T) {
 func TestStreamWithNoRows(t *testing.T) {
 	cat, ch := chunkedCatalog(2)
 	ex := NewExecutor(cat)
-	res, err := ex.Execute(sqlparse.MustParse("SELECT r.k FROM r WHERE r.k = 'zzz'"))
+	res, err := runStmt(context.Background(), ex, sqlparse.MustParse("SELECT r.k FROM r WHERE r.k = 'zzz'"))
 	if err != nil {
 		t.Fatal(err)
 	}

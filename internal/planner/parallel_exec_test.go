@@ -85,7 +85,7 @@ func TestParallelizePassAnnotations(t *testing.T) {
 	cat, _, _ := buildParCatalog(t, parCatalogOpts{bigRows: 4000, dimRows: 900, seed: 1})
 	ex := NewExecutor(cat)
 	ex.DefaultParallelism = 4
-	plan, err := ex.Plan(sqlparse.MustParse(parJoinQ).(*sqlparse.Select))
+	plan, err := ex.PlanCtx(context.Background(), sqlparse.MustParse(parJoinQ).(*sqlparse.Select))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +138,14 @@ func TestParallelismOnePlansByteIdentical(t *testing.T) {
 	sel := sqlparse.MustParse(parJoinQ).(*sqlparse.Select)
 
 	serial := NewExecutor(cat)
-	base, err := serial.Plan(sel)
+	base, err := serial.PlanCtx(context.Background(), sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	par := NewExecutor(cat)
 	par.DefaultParallelism = 8
-	plan, err := par.Plan(sel)
+	plan, err := par.PlanCtx(context.Background(), sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func runPar(t *testing.T, cat *Catalog, ex *Executor, sql string, parallelism in
 	t.Helper()
 	sess := ex.NewSession(context.Background(), Limits{MaxParallelism: parallelism})
 	defer sess.Close()
-	res, err := ex.ExecuteSession(sess, sqlparse.MustParse(sql))
+	res, err := collectStmt(ex, sess, sqlparse.MustParse(sql))
 	if err != nil {
 		t.Fatalf("parallelism %d: %v", parallelism, err)
 	}
@@ -228,7 +228,7 @@ func TestParallelScanAdmissionInvariant(t *testing.T) {
 	// A session cap below the pool clamps the reservation up front.
 	bigCtr.Reset()
 	sess := ex.NewSession(context.Background(), Limits{MaxConcurrentPerSource: 2})
-	res, err := ex.ExecuteSession(sess, sqlparse.MustParse(parJoinQ))
+	res, err := collectStmt(ex, sess, sqlparse.MustParse(parJoinQ))
 	sess.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestParallelScanFanOutConcurrency(t *testing.T) {
 	go func() {
 		sess := gex.NewSession(context.Background(), Limits{})
 		defer sess.Close()
-		res, err := gex.ExecuteSession(sess, sqlparse.MustParse("SELECT big.k, big.v FROM big"))
+		res, err := collectStmt(gex, sess, sqlparse.MustParse("SELECT big.k, big.v FROM big"))
 		if err != nil {
 			done <- answer{err: err}
 			return
@@ -340,7 +340,7 @@ func TestParallelScanMidStreamFaultRecovers(t *testing.T) {
 	fex.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: 1}
 
 	sess := fex.NewSession(context.Background(), Limits{})
-	res, err := fex.ExecuteSession(sess, sqlparse.MustParse("SELECT big.k, big.v FROM big"))
+	res, err := collectStmt(fex, sess, sqlparse.MustParse("SELECT big.k, big.v FROM big"))
 	sess.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +371,7 @@ func TestSessionGovernorAtomicUnderParallel(t *testing.T) {
 
 	// Baseline: what one run charges.
 	base := ex.NewSession(context.Background(), Limits{})
-	if _, err := ex.ExecuteSession(base, sqlparse.MustParse(parJoinQ)); err != nil {
+	if _, err := collectStmt(ex, base, sqlparse.MustParse(parJoinQ)); err != nil {
 		t.Fatal(err)
 	}
 	perRun := base.TuplesTransferred()
@@ -389,7 +389,7 @@ func TestSessionGovernorAtomicUnderParallel(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = ex.ExecuteSession(sess, sqlparse.MustParse(parJoinQ))
+			_, errs[i] = collectStmt(ex, sess, sqlparse.MustParse(parJoinQ))
 		}(i)
 	}
 	wg.Wait()
@@ -413,7 +413,7 @@ func TestSessionGovernorAtomicUnderParallel(t *testing.T) {
 		cwg.Add(1)
 		go func(i int) {
 			defer cwg.Done()
-			_, cerrs[i] = ex.ExecuteSession(capped, sqlparse.MustParse(parJoinQ))
+			_, cerrs[i] = collectStmt(ex, capped, sqlparse.MustParse(parJoinQ))
 		}(i)
 	}
 	cwg.Wait()

@@ -132,7 +132,7 @@ func TestCancelStopsSourceFetchesMidStream(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := ex.ExecuteCtx(ctx, sqlparse.MustParse("SELECT nums.n FROM nums"))
+		_, err := runStmt(ctx, ex, sqlparse.MustParse("SELECT nums.n FROM nums"))
 		errc <- err
 	}()
 
@@ -190,7 +190,7 @@ func TestCancelStopsMediationBranches(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := ex.ExecuteMediationCtx(ctx, med)
+		_, err := runMediation(ctx, ex, med)
 		errc <- err
 	}()
 	<-gw.Emitted // branch 1 offers its first tuple
@@ -225,7 +225,7 @@ func TestSessionDeadlineExceeded(t *testing.T) {
 	defer sess.Close()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := ex.ExecuteSession(sess, sqlparse.MustParse("SELECT nums.n FROM nums"))
+		_, err := collectStmt(ex, sess, sqlparse.MustParse("SELECT nums.n FROM nums"))
 		errc <- err
 	}()
 	// Never allow the gate: the source hangs until the deadline fires.
@@ -246,7 +246,7 @@ func TestMaxTuplesGovernor(t *testing.T) {
 	ex := NewExecutor(bigCatalog(1000))
 	sess := ex.NewSession(context.Background(), Limits{MaxTuples: 100})
 	defer sess.Close()
-	_, err := ex.ExecuteSession(sess, sqlparse.MustParse("SELECT nums.n FROM nums"))
+	_, err := collectStmt(ex, sess, sqlparse.MustParse("SELECT nums.n FROM nums"))
 	if !errors.Is(err, ErrTuplesExceeded) {
 		t.Fatalf("err = %v, want ErrTuplesExceeded", err)
 	}
@@ -261,7 +261,7 @@ func TestMaxTuplesGovernorUnderLimitPasses(t *testing.T) {
 	ex := NewExecutor(bigCatalog(50))
 	sess := ex.NewSession(context.Background(), Limits{MaxTuples: 100})
 	defer sess.Close()
-	res, err := ex.ExecuteSession(sess, sqlparse.MustParse("SELECT nums.n FROM nums"))
+	res, err := collectStmt(ex, sess, sqlparse.MustParse("SELECT nums.n FROM nums"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestMaxStagedBytesGovernor(t *testing.T) {
 	ex.Temp = ts
 	sess := ex.NewSession(context.Background(), Limits{MaxStagedBytes: 64})
 	defer sess.Close()
-	_, err = ex.ExecuteSession(sess, sqlparse.MustParse(
+	_, err = collectStmt(ex, sess, sqlparse.MustParse(
 		"SELECT nums.n FROM nums ORDER BY nums.n DESC"))
 	if !errors.Is(err, store.ErrStageBudgetExceeded) {
 		t.Fatalf("err = %v, want store.ErrStageBudgetExceeded", err)
@@ -301,7 +301,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 	t.Run("full drain", func(t *testing.T) {
 		cat, tw := trackedCatalog(500, 0)
 		ex := NewExecutor(cat)
-		if _, err := ex.Execute(sqlparse.MustParse("SELECT nums.n FROM nums")); err != nil {
+		if _, err := runStmt(context.Background(), ex, sqlparse.MustParse("SELECT nums.n FROM nums")); err != nil {
 			t.Fatal(err)
 		}
 		tw.assertBalanced(t)
@@ -310,7 +310,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 	t.Run("early exit", func(t *testing.T) {
 		cat, tw := trackedCatalog(500, 0)
 		ex := NewExecutor(cat)
-		if _, err := ex.Execute(sqlparse.MustParse("SELECT nums.n FROM nums LIMIT 3")); err != nil {
+		if _, err := runStmt(context.Background(), ex, sqlparse.MustParse("SELECT nums.n FROM nums LIMIT 3")); err != nil {
 			t.Fatal(err)
 		}
 		tw.assertBalanced(t)
@@ -319,7 +319,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 	t.Run("self join", func(t *testing.T) {
 		cat, tw := trackedCatalog(100, 0)
 		ex := NewExecutor(cat)
-		if _, err := ex.Execute(sqlparse.MustParse(
+		if _, err := runStmt(context.Background(), ex, sqlparse.MustParse(
 			"SELECT a.n FROM nums a, nums b WHERE a.n = b.n LIMIT 5")); err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 	t.Run("mid-stream source failure", func(t *testing.T) {
 		cat, tw := trackedCatalog(500, 7)
 		ex := NewExecutor(cat)
-		if _, err := ex.Execute(sqlparse.MustParse("SELECT nums.n FROM nums")); err == nil {
+		if _, err := runStmt(context.Background(), ex, sqlparse.MustParse("SELECT nums.n FROM nums")); err == nil {
 			t.Fatal("expected injected source failure")
 		}
 		tw.assertBalanced(t)
@@ -338,7 +338,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 	t.Run("failure inside a join", func(t *testing.T) {
 		cat, tw := trackedCatalog(500, 7)
 		ex := NewExecutor(cat)
-		if _, err := ex.Execute(sqlparse.MustParse(
+		if _, err := runStmt(context.Background(), ex, sqlparse.MustParse(
 			"SELECT a.n FROM nums a, nums b WHERE a.n = b.n")); err == nil {
 			t.Fatal("expected injected source failure")
 		}
@@ -350,7 +350,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 		ex := NewExecutor(cat)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := ex.ExecuteCtx(ctx, sqlparse.MustParse("SELECT nums.n FROM nums")); !errors.Is(err, context.Canceled) {
+		if _, err := runStmt(ctx, ex, sqlparse.MustParse("SELECT nums.n FROM nums")); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		tw.assertBalanced(t)
@@ -366,7 +366,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 			UnionAll: true,
 			Post:     &core.Post{Limit: 3},
 		}
-		if _, err := ex.ExecuteMediation(med); err != nil {
+		if _, err := collectMediation(ex, nil, med); err != nil {
 			t.Fatal(err)
 		}
 		tw.assertBalanced(t)
@@ -379,7 +379,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 		b1 := sqlparse.MustParse("SELECT nums.n FROM nums").(*sqlparse.Select)
 		b2 := sqlparse.MustParse("SELECT nums.n FROM nums").(*sqlparse.Select)
 		med := &core.Mediation{Branches: []*sqlparse.Select{b1, b2}, UnionAll: true}
-		if _, err := ex.ExecuteMediation(med); err != nil {
+		if _, err := collectMediation(ex, nil, med); err != nil {
 			t.Fatal(err)
 		}
 		tw.assertBalanced(t)
@@ -395,7 +395,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 		cat, tw := trackedCatalog(100, 0)
 		ex := NewExecutor(cat)
 		ex.Temp = ts
-		if _, err := ex.Execute(sqlparse.MustParse(
+		if _, err := runStmt(context.Background(), ex, sqlparse.MustParse(
 			"SELECT nums.grp, SUM(nums.n) AS total FROM nums GROUP BY nums.grp")); err != nil {
 			t.Fatal(err)
 		}

@@ -70,17 +70,17 @@ import (
 // count as pulled and are charged to the transfer governor — they did
 // cross the wire again.
 type sourceScanIter struct {
-	e         *Executor
-	sess      *Session
-	w         wrapper.Wrapper
-	q         wrapper.SourceQuery
-	schema    relalg.Schema
-	act       *StepActuals // non-nil under EXPLAIN ANALYZE
-	est       int          // planner's transfer estimate (presize hint)
-	ctx       context.Context
-	stream    wrapper.TupleStream
-	batch     wrapper.BatchStream // non-nil when the stream block-fetches
-	release   func()
+	e       *Executor
+	sess    *Session
+	w       wrapper.Wrapper
+	q       wrapper.SourceQuery
+	schema  relalg.Schema
+	act     *StepActuals // non-nil under EXPLAIN ANALYZE
+	est     int          // planner's transfer estimate (presize hint)
+	ctx     context.Context
+	stream  wrapper.TupleStream
+	batch   wrapper.BatchStream // non-nil when the stream block-fetches
+	release func()
 	// reserved marks a part scan running under a fan-out's up-front slot
 	// reservation (parallelScanIter): the scan never acquires or releases
 	// admission itself — the slot is held by the reservation for the
@@ -938,25 +938,20 @@ func (e *Executor) selectStream(sess *Session, sel *sqlparse.Select) (relalg.Ite
 }
 
 // StatementStream compiles a statement (SELECT or UNION tree) into an
-// iterator tree under sess; nothing runs until the tree is opened with
-// the session's context. Service layers use it to stream un-mediated
-// (naive) answers incrementally.
+// iterator tree under sess; UNION combines with set semantics unless
+// marked ALL. Nothing runs until the tree is opened with the session's
+// context. Service layers use it to stream un-mediated (naive) answers
+// incrementally.
 func (e *Executor) StatementStream(sess *Session, stmt sqlparse.Statement) (relalg.Iterator, error) {
-	return e.statementStream(sess, stmt)
-}
-
-// statementStream compiles a statement (SELECT or UNION tree) into an
-// iterator tree; UNION combines with set semantics unless marked ALL.
-func (e *Executor) statementStream(sess *Session, stmt sqlparse.Statement) (relalg.Iterator, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.Select:
 		return e.selectStream(sess, s)
 	case *sqlparse.Union:
-		l, err := e.statementStream(sess, s.Left)
+		l, err := e.StatementStream(sess, s.Left)
 		if err != nil {
 			return nil, err
 		}
-		r, err := e.statementStream(sess, s.Right)
+		r, err := e.StatementStream(sess, s.Right)
 		if err != nil {
 			return nil, err
 		}
@@ -1074,8 +1069,12 @@ func (e *Executor) MediationStream(sess *Session, med *core.Mediation) (relalg.I
 			wg.Add(1)
 			go func(i int, b *sqlparse.Select) {
 				defer wg.Done()
-				results[i], errs[i] = e.executeSelect(bsess, b)
-				if errs[i] != nil && !(partial && Degradable(errs[i])) {
+				it, err := e.selectStream(bsess, b)
+				if err == nil {
+					results[i], err = relalg.Collect(bsess.Context(), it, "")
+				}
+				errs[i] = err
+				if err != nil && !(partial && Degradable(err)) {
 					bcancel()
 				}
 			}(i, b)

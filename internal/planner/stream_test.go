@@ -36,7 +36,7 @@ func bigCatalog(n int) *Catalog {
 func TestLimitTransfersOnlyLimitTuples(t *testing.T) {
 	const source = 50000
 	ex := NewExecutor(bigCatalog(source))
-	res, err := ex.Execute(sqlparse.MustParse("SELECT nums.n FROM nums LIMIT 5"))
+	res, err := runStmt(context.Background(), ex, sqlparse.MustParse("SELECT nums.n FROM nums LIMIT 5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestLimitWithLocalFilterStaysSublinear(t *testing.T) {
 	const source = 50000
 	ex := NewExecutor(bigCatalog(source))
 	ex.DisablePushdown = true
-	res, err := ex.Execute(sqlparse.MustParse(
+	res, err := runStmt(context.Background(), ex, sqlparse.MustParse(
 		"SELECT nums.n FROM nums WHERE nums.grp = 'odd' LIMIT 4"))
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestLimitWithLocalFilterStaysSublinear(t *testing.T) {
 // and the stats match the materialized executor's accounting.
 func TestFullScanStillCountsEverything(t *testing.T) {
 	ex := NewExecutor(bigCatalog(1000))
-	if _, err := ex.Execute(sqlparse.MustParse("SELECT nums.n FROM nums")); err != nil {
+	if _, err := runStmt(context.Background(), ex, sqlparse.MustParse("SELECT nums.n FROM nums")); err != nil {
 		t.Fatal(err)
 	}
 	if st := ex.Stats(); st.TuplesTransferred != 1000 || st.SourceQueries != 1 {
@@ -98,7 +98,7 @@ func TestMediationBranchesLazilySkipped(t *testing.T) {
 		Post:     &core.Post{Limit: 3},
 	}
 	ex := NewExecutor(cat)
-	res, err := ex.ExecuteMediation(med)
+	res, err := collectMediation(ex, nil, med)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestStreamingBreakersStageThroughTempStore(t *testing.T) {
 	ts.SpillThreshold = 8
 	ex := NewExecutor(bigCatalog(100))
 	ex.Temp = ts
-	res, err := ex.Execute(sqlparse.MustParse(
+	res, err := runStmt(context.Background(), ex, sqlparse.MustParse(
 		"SELECT nums.n FROM nums WHERE nums.n < 50 ORDER BY nums.n DESC LIMIT 2"))
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestStreamingBreakersStageThroughTempStore(t *testing.T) {
 // only opening the tree does.
 func TestBuildStreamHasNoSideEffects(t *testing.T) {
 	ex := NewExecutor(bigCatalog(100))
-	plan, err := ex.Plan(sqlparse.MustParse("SELECT nums.n FROM nums").(*sqlparse.Select))
+	plan, err := ex.PlanCtx(context.Background(), sqlparse.MustParse("SELECT nums.n FROM nums").(*sqlparse.Select))
 	if err != nil {
 		t.Fatal(err)
 	}

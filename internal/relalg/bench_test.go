@@ -1,6 +1,7 @@
 package relalg
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -24,7 +25,11 @@ func BenchmarkHashJoin(b *testing.B) {
 		ra, rb := benchRelations(n, 1)
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := HashJoin(ra, rb, []string{"a.k"}, []string{"b.k"}, nil); err != nil {
+				hj, err := NewHashJoin(NewScan(ra), NewScan(rb), []string{"a.k"}, []string{"b.k"}, nil, true, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := Collect(context.Background(), hj, ""); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -38,7 +43,7 @@ func BenchmarkNestedLoopJoin(b *testing.B) {
 		ra, rb := benchRelations(n, 1)
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := NestedLoopJoin(ra, rb, pred); err != nil {
+				if _, err := Collect(context.Background(), NewNestedLoop(NewScan(ra), rb, pred), ""); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -51,7 +56,7 @@ func BenchmarkFilterEval(b *testing.B) {
 	pred := sqlparse.Bin(">", sqlparse.Col("a", "v"), sqlparse.Num(500))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Filter(ra, pred); err != nil {
+		if _, err := Collect(context.Background(), NewFilter(NewScan(ra), pred), ""); err != nil {
 			b.Fatal(err)
 		}
 	}

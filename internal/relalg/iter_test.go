@@ -125,10 +125,11 @@ func sameRows(t *testing.T, op string, got, want *Relation) {
 	}
 }
 
-// TestIteratorMaterializedEquivalence is the property test of the
-// tentpole refactor: on randomized inputs, every streaming operator must
-// produce exactly the tuples and order of its materialized counterpart —
-// both over plain scans and over ragged batch shapes.
+// TestIteratorMaterializedEquivalence checks, on randomized inputs, that
+// every streaming operator produces exactly the tuples and order of the
+// test-only reference evaluator (reference_test.go) — both over plain
+// scans and over ragged batch shapes. GroupBy is checked against its
+// materialized core, which GroupByIter runs after draining its child.
 func TestIteratorMaterializedEquivalence(t *testing.T) {
 	pred := mustExpr("v >= 30")
 	joinPred := mustExpr("a.k = b.k")
@@ -145,6 +146,7 @@ func TestIteratorMaterializedEquivalence(t *testing.T) {
 		{Name: "total", Expr: mustExpr("SUM(v)")},
 	}
 	ragged := []int{3, 1, 7, 2}
+	keysA, keysB := []string{"a.k"}, []string{"b.k"}
 
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -157,7 +159,7 @@ func TestIteratorMaterializedEquivalence(t *testing.T) {
 			t.Helper()
 			if err != nil || wantErr != nil {
 				if (err == nil) != (wantErr == nil) {
-					t.Fatalf("%s: iterator err %v, materialized err %v", op, err, wantErr)
+					t.Fatalf("%s: iterator err %v, reference err %v", op, err, wantErr)
 				}
 				return
 			}
@@ -168,29 +170,32 @@ func TestIteratorMaterializedEquivalence(t *testing.T) {
 			sameRows(t, fmt.Sprintf("seed %d %s", seed, op), got, want)
 		}
 
-		wf, ef := Filter(r, pred)
+		wf, ef := refFilter(r, pred)
 		check("filter", NewFilter(NewScan(r), pred), nil, wf, ef)
 		check("filter-ragged", NewFilter(newRaggedScan(r, ragged), pred), nil, wf, ef)
 
-		wp, ep := Project(r, items)
+		wp, ep := refProject(r, items)
 		check("project", NewProject(NewScan(r), items), nil, wp, ep)
 		check("project-ragged", NewProject(newRaggedScan(r, ragged), items), nil, wp, ep)
 
-		wnl, enl := NestedLoopJoin(a, b, joinPred)
+		wnl, enl := refNestedLoop(a, b, joinPred)
 		check("nested-loop", NewNestedLoop(NewScan(a), b, joinPred), nil, wnl, enl)
 		check("nested-loop-ragged", NewNestedLoop(newRaggedScan(a, ragged), b, joinPred), nil, wnl, enl)
 
-		check("cross", NewNestedLoop(NewScan(a), b, nil), nil, CrossJoin(a, b), nil)
+		wx, ex := refNestedLoop(a, b, nil)
+		check("cross", NewNestedLoop(NewScan(a), b, nil), nil, wx, ex)
 
-		whj, ehj := HashJoin(a, b, []string{"a.k"}, []string{"b.k"}, nil)
+		// The hash join's output follows its probe side: b when it builds
+		// the (no larger) left side, a otherwise.
 		buildLeft := !(len(b.Tuples) < len(a.Tuples))
-		hj, err := NewHashJoin(NewScan(a), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, buildLeft, nil)
-		check("hash-join", hj, err, whj, ehj)
-		hjr, err := NewHashJoin(newRaggedScan(a, ragged), newRaggedScan(b, ragged), []string{"a.k"}, []string{"b.k"}, nil, buildLeft, nil)
-		check("hash-join-ragged", hjr, err, whj, ehj)
+		whj := refEquiJoin(t, a, b, keysA, keysB, buildLeft)
+		hj, err := NewHashJoin(NewScan(a), NewScan(b), keysA, keysB, nil, buildLeft, nil)
+		check("hash-join", hj, err, whj, nil)
+		hjr, err := NewHashJoin(newRaggedScan(a, ragged), newRaggedScan(b, ragged), keysA, keysB, nil, buildLeft, nil)
+		check("hash-join-ragged", hjr, err, whj, nil)
 
 		// Whichever side builds, a hash join must produce the same bag.
-		hjo, err := NewHashJoin(NewScan(a), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, !buildLeft, nil)
+		hjo, err := NewHashJoin(NewScan(a), NewScan(b), keysA, keysB, nil, !buildLeft, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,29 +207,27 @@ func TestIteratorMaterializedEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: hash join bags differ across build sides", seed)
 		}
 
-		wmj, emj := MergeJoin(a, b, []string{"a.k"}, []string{"b.k"}, nil)
-		mj, err := NewMergeJoin(NewScan(a), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, nil)
-		check("merge-join", mj, err, wmj, emj)
+		mj, err := NewMergeJoin(NewScan(a), NewScan(b), keysA, keysB, nil, nil)
+		check("merge-join", mj, err, refMergeJoin(t, a, b, keysA, keysB), nil)
 
-		check("distinct", NewDistinct(NewScan(r)), nil, Distinct(r), nil)
-		check("distinct-ragged", NewDistinct(newRaggedScan(r, ragged)), nil, Distinct(r), nil)
+		check("distinct", NewDistinct(NewScan(r)), nil, refDistinct(r), nil)
+		check("distinct-ragged", NewDistinct(newRaggedScan(r, ragged)), nil, refDistinct(r), nil)
 
-		wu, eu := Union(a.Qualify(""), b, false)
 		ua, err := NewUnionAll(NewScan(a), NewScan(b))
-		check("union", NewDistinct(ua), err, wu, eu)
+		check("union", NewDistinct(ua), err, refUnion(a, b, false), nil)
 
-		wua, eua := Union(a, b, true)
+		wua := refUnion(a, b, true)
 		ual, err := NewUnionAll(NewScan(a), NewScan(b))
-		check("union-all", ual, err, wua, eua)
+		check("union-all", ual, err, wua, nil)
 
 		uar, err := NewUnionAll(newRaggedScan(a, ragged), newRaggedScan(b, ragged))
-		check("union-all-ragged", uar, err, wua, eua)
+		check("union-all-ragged", uar, err, wua, nil)
 
-		ws, es := Sort(r, orderKeys)
+		ws, es := refSort(r, orderKeys)
 		check("sort", NewSort(NewScan(r), orderKeys, nil), nil, ws, es)
 
-		check("limit", NewLimit(NewScan(r), n/2), nil, Limit(r, n/2), nil)
-		check("limit-ragged", NewLimit(newRaggedScan(r, ragged), n/2), nil, Limit(r, n/2), nil)
+		check("limit", NewLimit(NewScan(r), n/2), nil, refLimit(r, n/2), nil)
+		check("limit-ragged", NewLimit(newRaggedScan(r, ragged), n/2), nil, refLimit(r, n/2), nil)
 
 		wg, eg := GroupBy(r, []sqlparse.Expr{mustExpr("s")}, aggItems, nil)
 		check("group-by", NewGroupBy(NewScan(r), []sqlparse.Expr{mustExpr("s")}, aggItems, nil, nil), nil, wg, eg)
@@ -257,7 +260,7 @@ func TestLimitStopsPulling(t *testing.T) {
 func TestLimitMidBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	rel := randomRelation("big", 5000, rng)
-	want := Limit(rel, 700)
+	want := refLimit(rel, 700)
 
 	src := newCountingScan(rel)
 	out, err := Collect(context.Background(), NewLimit(src, 700), "")
@@ -312,7 +315,7 @@ func TestLimitTruncatesOversizedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRows(t, "limit-oversize", out, Limit(rel, 5))
+	sameRows(t, "limit-oversize", out, refLimit(rel, 5))
 }
 
 // TestFilterSkipsEmptyBatches: when whole child batches filter down to
@@ -588,7 +591,7 @@ func TestFlushBeforeFail(t *testing.T) {
 
 	// Reference: rows the join yields before the probe side's 5th row.
 	failAfter := 5
-	ref, err := NewHashJoin(NewScan(Limit(a, failAfter)), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, false, nil)
+	ref, err := NewHashJoin(NewScan(refLimit(a, failAfter)), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,17 +8,21 @@ import (
 	"repro/internal/sqlparse"
 )
 
+// mergeJoin drains a sort-merge join of a and b.
+func mergeJoin(t *testing.T, a, b *Relation, aKeys, bKeys []string, residual sqlparse.Expr) *Relation {
+	t.Helper()
+	mj, err := NewMergeJoin(NewScan(a), NewScan(b), aKeys, bKeys, residual, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return drain(t, mj)
+}
+
 func TestMergeJoinBasic(t *testing.T) {
 	a := figure2R1()
 	b := figure2R2()
-	mj, err := MergeJoin(a, b, []string{"rl.cname"}, []string{"r2.cname"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hj, err := HashJoin(a, b, []string{"rl.cname"}, []string{"r2.cname"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mj := mergeJoin(t, a, b, []string{"rl.cname"}, []string{"r2.cname"}, nil)
+	hj := hashJoin(t, a, b, []string{"rl.cname"}, []string{"r2.cname"})
 	if !SameTuples(mj, hj) {
 		t.Errorf("merge join != hash join:\n%s\nvs\n%s", mj, hj)
 	}
@@ -28,10 +32,7 @@ func TestMergeJoinResidual(t *testing.T) {
 	a := figure2R1()
 	b := figure2R2()
 	pred := sqlparse.Bin(">", sqlparse.Col("rl", "revenue"), sqlparse.Num(2000000))
-	mj, err := MergeJoin(a, b, []string{"rl.cname"}, []string{"r2.cname"}, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mj := mergeJoin(t, a, b, []string{"rl.cname"}, []string{"r2.cname"}, pred)
 	if mj.Len() != 1 || mj.Tuples[0][0].S != "IBM" {
 		t.Errorf("residual filter: %s", mj)
 	}
@@ -40,18 +41,20 @@ func TestMergeJoinResidual(t *testing.T) {
 func TestMergeJoinErrors(t *testing.T) {
 	a := figure2R1()
 	b := figure2R2()
-	if _, err := MergeJoin(a, b, nil, nil, nil); err == nil {
+	if _, err := NewMergeJoin(NewScan(a), NewScan(b), nil, nil, nil, nil); err == nil {
 		t.Error("empty keys accepted")
 	}
-	if _, err := MergeJoin(a, b, []string{"zzz"}, []string{"r2.cname"}, nil); err == nil {
+	if _, err := NewMergeJoin(NewScan(a), NewScan(b), []string{"zzz"}, []string{"r2.cname"}, nil, nil); err == nil {
 		t.Error("bad key accepted")
 	}
 }
 
-// Property: merge join, hash join and nested-loop join agree, including on
-// duplicate keys and NULL keys (which never join).
+// Property: merge join, hash join and nested-loop join agree with the
+// reference join, including on duplicate keys and NULL keys (which never
+// join). Nested loop and merge join also match its row order.
 func TestThreeJoinsAgreeProperty(t *testing.T) {
 	pred := sqlparse.Bin("=", sqlparse.Col("a", "k"), sqlparse.Col("b", "k"))
+	keysA, keysB := []string{"a.k"}, []string{"b.k"}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a := testRel("a", "a.k:num, a.v:num")
@@ -69,19 +72,12 @@ func TestThreeJoinsAgreeProperty(t *testing.T) {
 		for i := 0; i < r.Intn(25); i++ {
 			addRow(b)
 		}
-		nl, err := NestedLoopJoin(a, b, pred)
-		if err != nil {
-			return false
-		}
-		hj, err := HashJoin(a, b, []string{"a.k"}, []string{"b.k"}, nil)
-		if err != nil {
-			return false
-		}
-		mj, err := MergeJoin(a, b, []string{"a.k"}, []string{"b.k"}, nil)
-		if err != nil {
-			return false
-		}
-		return SameTuples(nl, hj) && SameTuples(nl, mj)
+		want := refEquiJoin(t, a, b, keysA, keysB, false)
+		nl := drain(t, NewNestedLoop(NewScan(a), b, pred))
+		hj := hashJoin(t, a, b, keysA, keysB)
+		mj := mergeJoin(t, a, b, keysA, keysB, nil)
+		return sameOrder(nl, want) && SameTuples(hj, want) &&
+			sameOrder(mj, refMergeJoin(t, a, b, keysA, keysB))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -94,10 +90,7 @@ func TestMergeJoinOutputOrdered(t *testing.T) {
 		[]Value{NumV(3)}, []Value{NumV(1)}, []Value{NumV(2)})
 	b := testRel("b", "b.k:num",
 		[]Value{NumV(2)}, []Value{NumV(3)}, []Value{NumV(1)})
-	mj, err := MergeJoin(a, b, []string{"a.k"}, []string{"b.k"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mj := mergeJoin(t, a, b, []string{"a.k"}, []string{"b.k"}, nil)
 	for i := 1; i < mj.Len(); i++ {
 		if mj.Tuples[i-1][0].N > mj.Tuples[i][0].N {
 			t.Fatalf("output not key-ordered: %s", mj)

@@ -2,6 +2,7 @@ package relalg
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -103,17 +104,11 @@ func TestSchemaIndexQualified(t *testing.T) {
 func TestFilterPaperNaiveQuery(t *testing.T) {
 	// The naive Q1 over Figure 2 data returns the empty answer — the
 	// paper's motivating "incorrect" result.
-	joined, err := NestedLoopJoin(figure2R1(), figure2R2(), expr(t, "rl.cname = r2.cname"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	joined := drain(t, NewNestedLoop(NewScan(figure2R1()), figure2R2(), expr(t, "rl.cname = r2.cname")))
 	if joined.Len() != 2 {
 		t.Fatalf("join size = %d, want 2", joined.Len())
 	}
-	res, err := Filter(joined, expr(t, "rl.revenue > r2.expenses"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := drain(t, NewFilter(NewScan(joined), expr(t, "rl.revenue > r2.expenses")))
 	// The paper: "the (empty) answer returned by executing Q1 is clearly
 	// not a 'correct' answer". IBM: 1e8 < 1.5e8; NTT naively 1e6 < 5e6.
 	if res.Len() != 0 {
@@ -123,13 +118,10 @@ func TestFilterPaperNaiveQuery(t *testing.T) {
 
 func TestProjectComputed(t *testing.T) {
 	r := figure2R1()
-	out, err := Project(r, []ProjectItem{
+	out := drain(t, NewProject(NewScan(r), []ProjectItem{
 		{Name: "cname", Expr: sqlparse.Col("rl", "cname")},
 		{Name: "rev_k", Expr: sqlparse.Bin("/", sqlparse.Col("rl", "revenue"), sqlparse.Num(1000))},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}))
 	if out.Schema.Columns[1].Type != KindNumber {
 		t.Error("computed column type not inferred")
 	}
@@ -141,20 +133,31 @@ func TestProjectComputed(t *testing.T) {
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	a := figure2R1()
 	b := figure2R2()
-	nl, err := NestedLoopJoin(a, b, expr(t, "rl.cname = r2.cname"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hj, err := HashJoin(a, b, []string{"rl.cname"}, []string{"r2.cname"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := drain(t, NewNestedLoop(NewScan(a), b, expr(t, "rl.cname = r2.cname")))
+	hj := hashJoin(t, a, b, []string{"rl.cname"}, []string{"r2.cname"})
 	if !SameTuples(nl, hj) {
 		t.Errorf("hash join != nested loop:\n%s\nvs\n%s", nl, hj)
 	}
 }
 
-// Property: hash join equals nested-loop join on random data.
+// hashJoin drains a hash join of a and b that builds the smaller side.
+func hashJoin(t *testing.T, a, b *Relation, aKeys, bKeys []string) *Relation {
+	t.Helper()
+	buildLeft := !(len(b.Tuples) < len(a.Tuples))
+	hj, err := NewHashJoin(NewScan(a), NewScan(b), aKeys, bKeys, nil, buildLeft, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return drain(t, hj)
+}
+
+// sameOrder reports whether two relations hold the same tuple sequence.
+func sameOrder(a, b *Relation) bool {
+	return slices.Equal(rows(a), rows(b))
+}
+
+// Property: hash join and nested-loop join both equal the reference
+// join on random data.
 func TestJoinEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -167,22 +170,21 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 			b.MustAdd(NumV(float64(r.Intn(5))), NumV(float64(r.Intn(100))))
 		}
 		pred := sqlparse.Bin("=", sqlparse.Col("a", "k"), sqlparse.Col("b", "k"))
-		nl, err := NestedLoopJoin(a, b, pred)
+		want, err := refNestedLoop(a, b, pred)
 		if err != nil {
 			return false
 		}
-		hj, err := HashJoin(a, b, []string{"a.k"}, []string{"b.k"}, nil)
-		if err != nil {
-			return false
-		}
-		return SameTuples(nl, hj)
+		nl := drain(t, NewNestedLoop(NewScan(a), b, pred))
+		hj := hashJoin(t, a, b, []string{"a.k"}, []string{"b.k"})
+		return sameOrder(nl, want) && SameTuples(hj, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: selection cascade — Filter(p AND q) == Filter(p) then Filter(q).
+// Property: selection cascade — filtering on p AND q equals filtering on
+// p then on q, and both equal the reference filter.
 func TestSelectionCascadeProperty(t *testing.T) {
 	p := sqlparse.Bin(">", sqlparse.Col("a", "v"), sqlparse.Num(30))
 	q := sqlparse.Bin("<", sqlparse.Col("a", "v"), sqlparse.Num(70))
@@ -192,19 +194,14 @@ func TestSelectionCascadeProperty(t *testing.T) {
 		for i := 0; i < r.Intn(40); i++ {
 			a.MustAdd(NumV(float64(r.Intn(100))))
 		}
-		both, err := Filter(a, sqlparse.Bin("AND", p, q))
+		pq := sqlparse.Bin("AND", p, q)
+		want, err := refFilter(a, pq)
 		if err != nil {
 			return false
 		}
-		first, err := Filter(a, p)
-		if err != nil {
-			return false
-		}
-		second, err := Filter(first, q)
-		if err != nil {
-			return false
-		}
-		return SameTuples(both, second)
+		both := drain(t, NewFilter(NewScan(a), pq))
+		cascade := drain(t, NewFilter(NewFilter(NewScan(a), p), q))
+		return sameOrder(both, want) && sameOrder(cascade, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -224,23 +221,10 @@ func TestJoinCommutativityProperty(t *testing.T) {
 			b.MustAdd(NumV(float64(r.Intn(4))))
 		}
 		pred := sqlparse.Bin("=", sqlparse.Col("a", "k"), sqlparse.Col("b", "k"))
-		ab, err := NestedLoopJoin(a, b, pred)
-		if err != nil {
-			return false
-		}
-		ba, err := NestedLoopJoin(b, a, pred)
-		if err != nil {
-			return false
-		}
-		// Project both to a.k to compare modulo column order.
-		pa, err := Project(ab, []ProjectItem{{Name: "k", Expr: sqlparse.Col("a", "k")}})
-		if err != nil {
-			return false
-		}
-		pb, err := Project(ba, []ProjectItem{{Name: "k", Expr: sqlparse.Col("a", "k")}})
-		if err != nil {
-			return false
-		}
+		// Project both orders to a.k to compare modulo column order.
+		k := []ProjectItem{{Name: "k", Expr: sqlparse.Col("a", "k")}}
+		pa := drain(t, NewProject(NewNestedLoop(NewScan(a), b, pred), k))
+		pb := drain(t, NewProject(NewNestedLoop(NewScan(b), a, pred), k))
 		return SameTuples(pa, pb)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -251,21 +235,19 @@ func TestJoinCommutativityProperty(t *testing.T) {
 func TestUnionSetVsAll(t *testing.T) {
 	a := testRel("a", "x:num", []Value{NumV(1)}, []Value{NumV(2)})
 	b := testRel("b", "x:num", []Value{NumV(2)}, []Value{NumV(3)})
-	all, err := Union(a, b, true)
+	u, err := NewUnionAll(NewScan(a), NewScan(b))
 	if err != nil {
 		t.Fatal(err)
 	}
+	all := drain(t, u)
 	if all.Len() != 4 {
 		t.Errorf("UNION ALL len = %d, want 4", all.Len())
 	}
-	set, err := Union(a, b, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := drain(t, NewDistinct(NewScan(all)))
 	if set.Len() != 3 {
 		t.Errorf("UNION len = %d, want 3", set.Len())
 	}
-	if _, err := Union(a, testRel("c", "x:num, y:num"), true); err == nil {
+	if _, err := NewUnionAll(NewScan(a), NewScan(testRel("c", "x:num, y:num"))); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 }
@@ -282,20 +264,15 @@ func TestUnionCardinalityProperty(t *testing.T) {
 		for i := 0; i < r.Intn(20); i++ {
 			b.MustAdd(NumV(float64(r.Intn(6))))
 		}
-		all, err := Union(a, b, true)
+		u, err := NewUnionAll(NewScan(a), NewScan(b))
 		if err != nil {
 			return false
 		}
-		set, err := Union(a, b, false)
-		if err != nil {
-			return false
-		}
-		max := a.Len()
-		if b.Len() > max {
-			max = b.Len()
-		}
-		return all.Len() == a.Len()+b.Len() && set.Len() <= all.Len() &&
-			set.Len() >= Distinct(a).Len() && set.Len() >= Distinct(b).Len() && set.Len() >= 0 && max >= 0
+		all := drain(t, u)
+		set := drain(t, NewDistinct(NewScan(all)))
+		return sameOrder(all, refUnion(a, b, true)) && sameOrder(set, refUnion(a, b, false)) &&
+			all.Len() == a.Len()+b.Len() && set.Len() <= all.Len() &&
+			set.Len() >= refDistinct(a).Len() && set.Len() >= refDistinct(b).Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -308,19 +285,16 @@ func TestSortAndLimit(t *testing.T) {
 		[]Value{StrV("a"), NumV(3)},
 		[]Value{StrV("c"), NumV(1)},
 	)
-	sorted, err := Sort(r, []OrderKey{{Expr: sqlparse.Col("t", "v"), Desc: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sorted := drain(t, NewSort(NewScan(r), []OrderKey{{Expr: sqlparse.Col("t", "v"), Desc: true}}, nil))
 	if sorted.Tuples[0][0].S != "a" || sorted.Tuples[2][0].S != "c" {
 		t.Errorf("sort order wrong: %s", sorted)
 	}
-	top := Limit(sorted, 2)
+	top := drain(t, NewLimit(NewScan(sorted), 2))
 	if top.Len() != 2 || top.Tuples[0][0].S != "a" {
 		t.Errorf("limit wrong: %s", top)
 	}
-	if Limit(sorted, -1).Len() != 3 {
-		t.Error("Limit(-1) should keep all")
+	if drain(t, NewLimit(NewScan(sorted), -1)).Len() != 3 {
+		t.Error("LIMIT -1 should keep all")
 	}
 }
 
@@ -422,7 +396,7 @@ func TestRelationString(t *testing.T) {
 
 func TestDistinct(t *testing.T) {
 	r := testRel("t", "x:num", []Value{NumV(1)}, []Value{NumV(1)}, []Value{NumV(2)})
-	if Distinct(r).Len() != 2 {
+	if drain(t, NewDistinct(NewScan(r))).Len() != 2 {
 		t.Error("distinct failed")
 	}
 }

@@ -62,8 +62,6 @@ type RowStream interface {
 // server can tie query lifetimes to receiver connections.
 type Service interface {
 	Mediate(sql, receiver string) (*core.Mediation, error)
-	QueryCtx(ctx context.Context, sql, receiver string, opts planner.Limits) (*relalg.Relation, error)
-	ExecuteCtx(ctx context.Context, med *core.Mediation, opts planner.Limits) (*relalg.Relation, error)
 	ExecuteWarnCtx(ctx context.Context, med *core.Mediation, opts planner.Limits) (*relalg.Relation, []planner.Warning, error)
 	QueryNaiveCtx(ctx context.Context, sql string, opts planner.Limits) (*relalg.Relation, error)
 	QueryStream(ctx context.Context, sql, receiver string, naive bool, opts planner.Limits) (RowStream, error)
@@ -273,8 +271,8 @@ func (s *srv) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Naive {
 		rel, err = s.svc.QueryNaiveCtx(ctx, req.SQL, opts)
 	} else {
-		// Mediate once and execute the result, rather than QueryCtx
-		// (which would re-run the abductive rewriting for the same SQL).
+		// Mediate and execute as two steps, so the response can carry the
+		// mediated SQL next to the answer.
 		med, err = s.svc.Mediate(req.SQL, req.Context)
 		if err == nil {
 			rel, warns, err = s.svc.ExecuteWarnCtx(ctx, med, opts)
@@ -417,16 +415,15 @@ func (s *srv) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	var (
-		plan string
-		err  error
-	)
+	// The governor fields are validated on both paths, so a request is
+	// accepted or rejected the same way with or without analyze.
+	opts, err := req.limits()
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	var plan string
 	if req.Analyze {
-		var opts planner.Limits
-		if opts, err = req.limits(); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
 		plan, err = s.svc.ExplainAnalyzeCtx(r.Context(), req.SQL, req.Context, opts)
 	} else {
 		plan, err = s.svc.Explain(req.SQL, req.Context)
@@ -540,7 +537,7 @@ func (s *srv) handleQBERun(w http.ResponseWriter, r *http.Request) {
 		if err == nil {
 			page.MediatedSQL = med.SQL()
 			page.Derivation = med.ExplainText()
-			rel, err = s.svc.ExecuteCtx(r.Context(), med, planner.Limits{})
+			rel, _, err = s.svc.ExecuteWarnCtx(r.Context(), med, planner.Limits{})
 		}
 	}
 	if err != nil {

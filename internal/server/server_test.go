@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -43,7 +44,7 @@ func TestArchitectureEndToEnd(t *testing.T) {
 	}
 
 	// Naive baseline: empty answer.
-	naive, err := conn.QueryNaive(coin.PaperQ1)
+	naive, err := conn.QueryNaiveCtx(context.Background(), coin.PaperQ1, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestArchitectureEndToEnd(t *testing.T) {
 	}
 
 	// Mediated: the paper's correct answer.
-	res, err := conn.Query(coin.PaperQ1, "c2")
+	res, err := conn.QueryCtx(context.Background(), coin.PaperQ1, "c2", client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestArchitectureEndToEnd(t *testing.T) {
 	}
 
 	// Mediate-only endpoint.
-	sql, branches, err := conn.Mediate(coin.PaperQ1, "c2")
+	sql, branches, err := conn.Mediate(context.Background(), coin.PaperQ1, "c2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +85,13 @@ func TestServerErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Query("SELECT nope FROM nosuch", "c2"); err == nil {
+	if _, err := conn.QueryCtx(context.Background(), "SELECT nope FROM nosuch", "c2", client.Options{}); err == nil {
 		t.Error("bad query succeeded")
 	}
-	if _, err := conn.Query(coin.PaperQ1, "nocontext"); err == nil {
+	if _, err := conn.QueryCtx(context.Background(), coin.PaperQ1, "nocontext", client.Options{}); err == nil {
 		t.Error("unknown context succeeded")
 	}
-	if _, _, err := conn.Mediate("", "c2"); err == nil {
+	if _, _, err := conn.Mediate(context.Background(), "", "c2"); err == nil {
 		t.Error("empty SQL accepted")
 	}
 	if _, err := client.Open("http://127.0.0.1:1"); err == nil {
@@ -155,7 +156,7 @@ func TestConcurrencyKnobOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := conn.QueryCtx(nil, coin.PaperQ1, "c2", client.Options{MaxConcurrentPerSource: 1})
+	res, err := conn.QueryCtx(context.Background(), coin.PaperQ1, "c2", client.Options{MaxConcurrentPerSource: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,5 +213,44 @@ func TestExplainAnalyzeOverWire(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad timeout status = %s, want 400", resp2.Status)
+	}
+}
+
+// TestExplainValidatesGovernorsOnBothPaths: /api/explain rejects a bad
+// governor field with 400 whether or not analyze is set, and accepts the
+// same request with valid fields on both paths.
+func TestExplainValidatesGovernorsOnBothPaths(t *testing.T) {
+	sys := coin.Figure2System()
+	ts := httptest.NewServer(sys.Handler())
+	defer ts.Close()
+
+	cases := []struct {
+		name   string
+		fields string
+		want   int
+	}{
+		{"valid", `"timeout": "5s", "max_rows": 1, "parallelism": 1`, http.StatusOK},
+		{"bad timeout", `"timeout": "yes"`, http.StatusBadRequest},
+		{"negative timeout", `"timeout": "-1s"`, http.StatusBadRequest},
+		{"negative max_rows", `"max_rows": -1`, http.StatusBadRequest},
+		{"negative max_concurrent_per_source", `"max_concurrent_per_source": -1`, http.StatusBadRequest},
+		{"negative retry_budget", `"retry_budget": -1`, http.StatusBadRequest},
+		{"negative parallelism", `"parallelism": -1`, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		for _, analyze := range []bool{false, true} {
+			t.Run(c.name+"/analyze="+strconv.FormatBool(analyze), func(t *testing.T) {
+				body := `{"sql": ` + strconv.Quote(coin.PaperQ1) + `, "context": "c2", "analyze": ` +
+					strconv.FormatBool(analyze) + `, ` + c.fields + `}`
+				resp, err := http.Post(ts.URL+"/api/explain", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != c.want {
+					t.Errorf("status = %s, want %d", resp.Status, c.want)
+				}
+			})
+		}
 	}
 }

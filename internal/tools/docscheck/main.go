@@ -1,6 +1,6 @@
 // Command docscheck enforces the repository's documentation floor: every
 // Go package (including main packages — commands and examples) must carry
-// a package-level doc comment. It is the `make docs-check` CI gate.
+// a package-level doc comment. `make lint` runs it as part of the CI lint gate.
 //
 // Usage:
 //

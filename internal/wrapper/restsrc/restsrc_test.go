@@ -207,7 +207,13 @@ func TestEngineRetriesAgainstRealHTTP(t *testing.T) {
 
 	srv.FailNext(2, 503, "")
 	before := srv.Hits()
-	res, err := ex.Execute(sqlparse.MustParse("SELECT indices.iname FROM indices WHERE indices.level < 1003"))
+	sess := ex.NewSession(context.Background(), planner.Limits{})
+	defer sess.Close()
+	it, err := ex.StatementStream(sess, sqlparse.MustParse("SELECT indices.iname FROM indices WHERE indices.level < 1003"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := relalg.Collect(sess.Context(), it, "")
 	if err != nil {
 		t.Fatalf("query against flaky HTTP backend: %v", err)
 	}
