@@ -52,11 +52,15 @@ golden:
 golden-update:
 	$(GO) test ./internal/golden/ -run TestGoldenCorpus -update
 
-# Short fuzzing smoke over the two hand-written parsers (SQL and wrapping
-# specs); CI runs this with a small FUZZTIME, longer runs are manual.
+# Short fuzzing smoke over the hand-written parsers (SQL and wrapping
+# specs) and the NDJSON row codec, each held to encoding/json (server
+# encoder, client decoder); CI runs this with a small FUZZTIME, longer
+# runs are manual.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZTIME) ./internal/wrapper/
+	$(GO) test -run '^$$' -fuzz '^FuzzRowRecordEncode$$' -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzRowRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/client/
 
 # Static-analysis gate: vet, the package-comment check, and the
 # engine-invariant analyzer suite (batchretain, ctxflow, sourcefunnel,
@@ -98,10 +102,11 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkParallelJoinScaling -cpu 1,2,4,8 -benchmem -count 1 .
 
 # One iteration of every gating benchmark plus the batch-execution set
-# (E1c, E9 scale, fault-free overhead): a compile-and-run smoke so CI
-# catches a benchmark that breaks or asserts, not a measurement.
+# (E1c, E9 scale, fault-free overhead) and the wire layer: a
+# compile-and-run smoke so CI catches a benchmark that breaks or asserts,
+# not a measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench '$(BENCH)|BenchmarkE1c_ExecutionOnly|BenchmarkE9_MediatedExecutionScale' \
+	$(GO) test -run '^$$' -bench '$(BENCH)|BenchmarkE1c_ExecutionOnly|BenchmarkE9_MediatedExecutionScale|BenchmarkLayer_Wire' \
 		-benchmem -benchtime 1x -count 1 ./internal/datalog/ .
 
 # Record a baseline for bench-compare (run on the commit you compare against).

@@ -152,6 +152,66 @@ func BenchmarkE3_EndToEndHTTP(b *testing.B) {
 	}
 }
 
+// --- Layer ledger: the HTTP/NDJSON wire -----------------------------------
+
+// wireRows is the size of the scaled Q1 answer at 5,000 companies, seed 42.
+const wireRows = 2225
+
+// wireSQL scans the one relation wireSystem serves.
+const wireSQL = "SELECT answer.cname, answer.revenue FROM answer"
+
+// wireSystem serves the first n rows of the scaled Q1 answer (5,000
+// companies, seed 42) as a memory table, so a naive scan of it streams
+// the rows of the scaled-join workload with execution cut down to a scan.
+func wireSystem(n int) *coin.System {
+	w := fixture.NewScaledWorkload(5000, 42)
+	sys := coin.New(coin.NewModel())
+	db := store.NewDB("wiresrc")
+	tab := db.MustCreateTable("answer", w.Expected.Schema)
+	for _, row := range w.Expected.Tuples[:n] {
+		tab.MustInsert(row...)
+	}
+	sys.Catalog.MustAddSource(wrapper.NewRelational(db))
+	return sys
+}
+
+// streamRows drains wireSQL over /api/query/stream and returns the row
+// count.
+func streamRows(tb testing.TB, conn *client.Conn) int {
+	cur, err := conn.QueryStream(context.Background(), wireSQL, "", true, client.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer cur.Close()
+	n := 0
+	for cur.Next() {
+		n++
+	}
+	if err := cur.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+// BenchmarkLayer_Wire is the wire layer of the per-layer ledger: the
+// 2,225-row (string, number) scaled Q1 answer streamed through httptest,
+// the NDJSON row encoder and client.RowCursor's decoder.
+func BenchmarkLayer_Wire(b *testing.B) {
+	ts := httptest.NewServer(wireSystem(wireRows).Handler())
+	defer ts.Close()
+	conn, err := client.Open(ts.URL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := streamRows(b, conn); n != wireRows {
+			b.Fatalf("streamed %d rows, want %d", n, wireRows)
+		}
+	}
+}
+
 // --- E4: scalability in the number of *registered* sources --------------
 
 // BenchmarkE4_MediationVsRegisteredSources shows mediation cost tracks the

@@ -8,10 +8,13 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -266,13 +269,13 @@ func (c *Conn) QueryStream(ctx context.Context, sql, context_ string, naive bool
 		}
 		return nil, fmt.Errorf("client: /api/query/stream failed: %s", resp.Status)
 	}
-	cur := &RowCursor{resp: resp, dec: json.NewDecoder(resp.Body)}
-	var header server.StreamRecord
-	if err := cur.dec.Decode(&header); err != nil || header.Type != "header" {
+	cur := &RowCursor{resp: resp, r: bufio.NewReader(resp.Body)}
+	header, err := cur.record()
+	if err == nil && header.Type != "header" {
+		err = fmt.Errorf("client: stream began with %q record, want header", header.Type)
+	}
+	if err != nil {
 		resp.Body.Close()
-		if err == nil {
-			err = fmt.Errorf("client: stream began with %q record, want header", header.Type)
-		}
 		return nil, fmt.Errorf("client: reading stream header: %w", err)
 	}
 	cur.columns = header.Columns
@@ -283,10 +286,12 @@ func (c *Conn) QueryStream(ctx context.Context, sql, context_ string, naive bool
 
 // RowCursor iterates a streamed query answer row by row as records
 // arrive on the wire, in the style of an ODBC cursor over an open
-// network result set.
+// network result set. The wire holds one record per line.
 type RowCursor struct {
 	resp        *http.Response
-	dec         *json.Decoder
+	r           *bufio.Reader
+	long        []byte // a line longer than r's buffer, reassembled
+	dec         rowDecoder
 	columns     []server.ColumnInfo
 	mediatedSQL string
 	branches    int
@@ -314,9 +319,13 @@ func (c *RowCursor) Next() bool {
 	if c.done || c.closed {
 		return false
 	}
-	var rec server.StreamRecord
-	if err := c.dec.Decode(&rec); err != nil {
-		c.err = fmt.Errorf("client: reading stream: %w", err)
+	rec, err := c.record()
+	if err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			c.err = fmt.Errorf("client: stream truncated after %d rows: %w", c.rows, err)
+		} else {
+			c.err = fmt.Errorf("client: reading stream: %w", err)
+		}
 		c.end()
 		return false
 	}
@@ -339,6 +348,28 @@ func (c *RowCursor) Next() bool {
 		c.end()
 		return false
 	}
+}
+
+// record reads and decodes the next line. The stream ends with its
+// trailer, so running out of input first, at a line boundary or inside a
+// line, is io.ErrUnexpectedEOF.
+func (c *RowCursor) record() (server.StreamRecord, error) {
+	line, err := c.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		c.long = append(c.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = c.r.ReadSlice('\n')
+			c.long = append(c.long, line...)
+		}
+		line = c.long
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return server.StreamRecord{}, err
+	}
+	return c.dec.decode(line)
 }
 
 // end marks the cursor exhausted; the current row is cleared so Scan and

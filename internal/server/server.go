@@ -216,10 +216,17 @@ type srv struct {
 	svc Service
 }
 
+// writeJSON encodes v before committing the status, so a body that fails
+// to encode becomes a 422 error response instead of an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusUnprocessableEntity
+		body, _ = json.Marshal(ErrorResponse{Error: fmt.Sprintf("server: encoding response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // statusFor maps a query failure to an HTTP status: deadline overruns are
@@ -278,6 +285,13 @@ func (s *srv) handleQuery(w http.ResponseWriter, r *http.Request) {
 			rel, warns, err = s.svc.ExecuteWarnCtx(ctx, med, opts)
 		}
 	}
+	if err == nil {
+		for i, t := range rel.Tuples {
+			if err = unencodable(rel.Schema, i+1, t); err != nil {
+				break
+			}
+		}
+	}
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
@@ -295,8 +309,10 @@ func (s *srv) handleQuery(w http.ResponseWriter, r *http.Request) {
 // stream bound to the request context and writes NDJSON incrementally —
 // header first, each row as the iterator tree yields it (flushed so the
 // receiver sees the first row before the sources finish), then a trailing
-// stats or error record. A receiver that disconnects cancels r.Context(),
-// which aborts the query's source fetches mid-stream.
+// stats or error record. A row holding a number JSON cannot carry (NaN,
+// ±Inf) ends the stream with an error record naming its row and column.
+// A receiver that disconnects cancels r.Context(), which aborts the
+// query's source fetches mid-stream.
 func (s *srv) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if !s.decode(w, r, &req) {
@@ -325,8 +341,9 @@ func (s *srv) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	schema := rs.Schema()
 	header := StreamRecord{Type: "header"}
-	for _, c := range rs.Schema().Columns {
+	for _, c := range schema.Columns {
 		header.Columns = append(header.Columns, ColumnInfo{Name: c.Name, Type: c.Type.String()})
 	}
 	if med := rs.Mediation(); med != nil {
@@ -338,6 +355,9 @@ func (s *srv) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	flush()
 
+	// Row records bypass enc: appendRowRecord writes the same bytes into
+	// one line buffer reused for the whole stream.
+	var line []byte
 	rows := 0
 	for {
 		// One flush per batch: a gated or trickling source yields one-row
@@ -353,11 +373,13 @@ func (s *srv) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		for _, t := range batch {
-			vals := make([]interface{}, len(t))
-			for i, v := range t {
-				vals[i] = valueJSON(v)
+			var ok bool
+			if line, ok = appendRowRecord(line[:0], t); !ok {
+				_ = enc.Encode(StreamRecord{Type: "error", Rows: rows, Error: unencodable(schema, rows+1, t).Error(), Warnings: rs.Warnings()})
+				flush()
+				return
 			}
-			if err := enc.Encode(StreamRecord{Type: "row", Values: vals}); err != nil {
+			if _, err := w.Write(line); err != nil {
 				return // receiver gone; rs.Close (deferred) cancels the session
 			}
 			rows++
